@@ -375,32 +375,12 @@ def _add_serve_parser(subparsers) -> None:
         required=True,
         help="path of a trained GraphHDClassifier .npz archive "
         "(GraphHDClassifier.save or `repro train merge`); train with "
-        "--backend packed for the fastest popcount inference hot path",
+        "--backend packed for the fastest popcount inference hot path. "
+        "POST /reload may only name archives under this archive's directory",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
         "--port", type=int, default=8080, help="bind port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=64,
-        help="graph-count budget of one inference micro-batch; concurrent "
-        "requests coalesce up to this many graphs per encode/similarity pass",
-    )
-    parser.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=2.0,
-        help="milliseconds a batch opener waits for co-travelling requests "
-        "before executing (the batching latency tax on an idle server)",
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="fail a request whose batch has not completed in this time",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="log every request line"
@@ -782,13 +762,7 @@ def run_serve(args) -> str:
     from repro.serve.app import create_server, run_server
 
     server = create_server(
-        args.model,
-        host=args.host,
-        port=args.port,
-        max_batch_size=args.max_batch_size,
-        max_delay=args.max_delay_ms / 1000.0,
-        request_timeout=args.request_timeout,
-        verbose=args.verbose,
+        args.model, host=args.host, port=args.port, verbose=args.verbose
     )
     host, port = server.server_address[:2]
     handle = server.service.manager.current()
@@ -800,8 +774,6 @@ def run_serve(args) -> str:
         ["dimension", handle.model.config.dimension],
         ["classes", handle.num_classes],
         ["metric", handle.model.metric],
-        ["max batch size", args.max_batch_size],
-        ["max batch delay", f"{args.max_delay_ms} ms"],
         ["endpoints", "POST /predict, GET /healthz, GET /stats, POST /reload"],
     ]
     print(render_table(["field", "value"], rows, title="repro serve"), flush=True)

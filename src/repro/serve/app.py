@@ -1,17 +1,24 @@
 """The ``repro serve`` application: HTTP front-end over the batched service.
 
-Composition (the classic app / routers / middleware / workers split):
-
 * :class:`InferenceService` — transport-free facade tying the
   :class:`~repro.serve.model_manager.ModelManager` (load once, atomic hot
   swap), the :class:`~repro.serve.batcher.MicroBatcher` (request
-  coalescing) and :class:`~repro.serve.batcher.ServerStats` together.
-* :mod:`repro.serve.routers` — pure ``(service, body) -> (status, json)``
-  endpoint functions.
+  coalescing) and :class:`~repro.serve.batcher.ServerStats` together.  Each
+  endpoint is one method ``(body) -> (status, json)``, so every endpoint is
+  testable without sockets.
 * :class:`_RequestHandler` + ``ThreadingHTTPServer`` — one stdlib worker
-  thread per connection; workers parse/serialize only and block on the
-  batcher, so all NumPy inference work funnels through the single batcher
-  thread against the shared read-only model.
+  thread per connection; workers route, parse and serialize only and block
+  on the batcher, so all NumPy inference work funnels through the single
+  batcher thread against the shared read-only model.
+
+========  ==========  ====================================================
+method    path        purpose
+========  ==========  ====================================================
+POST      /predict    micro-batched graph classification (top-k labels)
+GET       /healthz    liveness + live model identity
+GET       /stats      batch sizes, queue depth, latency percentiles
+POST      /reload     version-checked atomic model hot swap
+========  ==========  ====================================================
 
 ``create_server`` wires everything and returns the server without starting
 it (tests bind port 0 and drive it from a thread); ``run_server`` is the
@@ -25,13 +32,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from repro.serve.batcher import MicroBatcher, ServerStats
-from repro.serve.model_manager import ModelHandle, ModelManager
-from repro.serve.routers import resolve
+from repro.hdc.training_state import MergeError
+from repro.serve.batcher import MicroBatcher, ServerStats, ServiceClosedError
+from repro.serve.model_manager import ModelManager, StaleVersionError
 from repro.serve.schemas import (
-    MAX_GRAPHS_PER_REQUEST,
-    PredictRequest,
-    ReloadRequest,
+    SchemaError,
+    parse_predict_request,
+    parse_reload_request,
     prediction_payload,
 )
 
@@ -43,77 +50,99 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 
 
 class InferenceService:
-    """Transport-free serving facade (everything the routes need)."""
+    """Transport-free serving facade: one method per endpoint."""
 
-    def __init__(
-        self,
-        model_path: str,
-        *,
-        max_batch_size: int = 64,
-        max_delay: float = 0.002,
-        request_timeout: float = 30.0,
-        max_graphs_per_request: int = MAX_GRAPHS_PER_REQUEST,
-    ) -> None:
+    def __init__(self, model_path: str) -> None:
         self.manager = ModelManager(model_path)
         self.stats_recorder = ServerStats()
-        self.batcher = MicroBatcher(
-            self.manager.current,
-            max_batch_size=max_batch_size,
-            max_delay=max_delay,
-            stats=self.stats_recorder,
-        )
-        self.request_timeout = float(request_timeout)
-        self.max_graphs_per_request = int(max_graphs_per_request)
+        self.batcher = MicroBatcher(self.manager.current, stats=self.stats_recorder)
 
-    # ----------------------------------------------------------------- routes
-    def predict(self, request: PredictRequest) -> dict:
-        """Serve one parsed prediction request through the micro-batcher."""
-        result = self.batcher.submit(
-            request.graphs, top_k=request.top_k, timeout=self.request_timeout
-        )
-        return {
+    def predict(self, body: bytes) -> tuple[int, dict]:
+        """``POST /predict``: classify a batch of graphs through the batcher."""
+        try:
+            request = parse_predict_request(
+                body, num_classes=self.manager.current().num_classes
+            )
+        except SchemaError as error:
+            return 400, {"error": str(error)}
+        try:
+            result = self.batcher.submit(request.graphs, top_k=request.top_k)
+        except ServiceClosedError as error:
+            return 503, {"error": str(error)}
+        except TimeoutError as error:
+            return 504, {"error": str(error)}
+        return 200, {
             "model_version": result.handle.version,
             "metric": result.handle.model.metric,
             "batch_size": result.batch_size,
             "predictions": [prediction_payload(topk) for topk in result.topk],
         }
 
-    def health(self) -> dict:
-        return {"status": "ok", "model": self.manager.current().describe()}
+    def health(self, body: bytes) -> tuple[int, dict]:
+        """``GET /healthz``: liveness plus the live model's identity."""
+        return 200, {"status": "ok", "model": self.manager.current().describe()}
 
-    def stats(self) -> dict:
+    def stats(self, body: bytes) -> tuple[int, dict]:
+        """``GET /stats``: serving counters and latency percentiles."""
         snapshot = self.stats_recorder.snapshot(
             queue_depth=self.batcher.queue_depth()
         )
         snapshot["model"] = self.manager.current().describe()
-        snapshot["policy"] = {
-            "max_batch_size": self.batcher.max_batch_size,
-            "max_delay_seconds": self.batcher.max_delay,
-            "request_timeout_seconds": self.request_timeout,
-            "max_graphs_per_request": self.max_graphs_per_request,
-        }
-        return snapshot
+        return 200, snapshot
 
-    def reload(self, request: ReloadRequest) -> ModelHandle:
-        return self.manager.reload(
-            path=request.path, expected_version=request.expected_version
-        )
+    def reload(self, body: bytes) -> tuple[int, dict]:
+        """``POST /reload``: version-checked atomic model hot swap."""
+        try:
+            request = parse_reload_request(body)
+        except SchemaError as error:
+            return 400, {"error": str(error)}
+        try:
+            handle = self.manager.reload(
+                path=request.path, expected_version=request.expected_version
+            )
+        except StaleVersionError as error:
+            return 409, {"error": str(error)}
+        except (FileNotFoundError, ValueError, MergeError) as error:
+            return 400, {"error": f"model reload failed: {error}"}
+        return 200, {"reloaded": True, "model": handle.describe()}
 
     def close(self) -> None:
         self.batcher.close()
 
 
+_ROUTES = {
+    ("POST", "/predict"): InferenceService.predict,
+    ("GET", "/healthz"): InferenceService.health,
+    ("GET", "/stats"): InferenceService.stats,
+    ("POST", "/reload"): InferenceService.reload,
+}
+
+
 class _RequestHandler(BaseHTTPRequestHandler):
-    """Thin JSON-over-HTTP adapter; all logic lives in the routers."""
+    """Thin JSON-over-HTTP adapter; all logic lives in the service."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # A response goes out as two writes (headers, then body).  With Nagle's
+    # algorithm on, the body of a reused keep-alive connection waits for the
+    # client's delayed ACK of the headers, ~40 ms.
+    disable_nagle_algorithm = True
 
     def _dispatch(self, method: str) -> None:
         path = urlsplit(self.path).path
-        status, target = resolve(method, path)
-        if not callable(target):
-            self._respond(status, target)
+        endpoint = _ROUTES.get((method, path))
+        if endpoint is None:
+            allowed = sorted(m for (m, p) in _ROUTES if p == path)
+            if allowed:
+                self._respond(405, {
+                    "error": f"method {method} not allowed for {path}",
+                    "allowed": allowed,
+                })
+            else:
+                self._respond(404, {
+                    "error": f"unknown path {path}",
+                    "paths": sorted({p for (_, p) in _ROUTES}),
+                })
             return
         length = int(self.headers.get("Content-Length") or 0)
         if length > MAX_BODY_BYTES:
@@ -123,8 +152,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
             return
         body = self.rfile.read(length) if length else b""
-        status, payload = target(self.server.service, body)
-        self._respond(status, payload)
+        self._respond(*endpoint(self.server.service, body))
 
     def _respond(self, status: int, payload: dict) -> None:
         data = json.dumps(payload).encode("utf-8")
@@ -167,10 +195,6 @@ def create_server(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    max_batch_size: int = 64,
-    max_delay: float = 0.002,
-    request_timeout: float = 30.0,
-    max_graphs_per_request: int = MAX_GRAPHS_PER_REQUEST,
     verbose: bool = False,
 ) -> _InferenceHTTPServer:
     """Build the HTTP server (not yet serving) around a saved model.
@@ -179,14 +203,9 @@ def create_server(
     ``server.server_address``), which is how the tests and the load
     generator run hermetically.
     """
-    service = InferenceService(
-        model_path,
-        max_batch_size=max_batch_size,
-        max_delay=max_delay,
-        request_timeout=request_timeout,
-        max_graphs_per_request=max_graphs_per_request,
+    return _InferenceHTTPServer(
+        (host, port), InferenceService(model_path), verbose=verbose
     )
-    return _InferenceHTTPServer((host, port), service, verbose=verbose)
 
 
 def run_server(server: _InferenceHTTPServer) -> None:

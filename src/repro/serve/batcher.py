@@ -1,19 +1,19 @@
 """Micro-batching engine of the inference service.
 
 Concurrent HTTP requests land in one queue; a single batcher thread drains
-it into *micro-batches* under a ``max_batch_size`` / ``max_delay`` policy:
-the first waiting request opens a batch and the batcher keeps admitting
-whole requests until the batch is full or the delay budget expires.  Each
-batch then runs the flat-batch hot path once — ``encode_many`` over every
-graph in the batch, one ``decision_scores`` similarity pass against the
-shared read-only class-vector matrix — and distributes the per-request
+it into *micro-batches*.  Batching is opportunistic: the batcher takes the
+oldest queued request plus every whole request queued behind it that fits
+the ``MAX_BATCH_GRAPHS`` graph budget, and never waits for more to arrive.
+A lone request on an idle server pays no queueing delay, and under load the
+queue fills while the previous batch runs, so batches grow with the arrival
+rate.  Each batch runs the flat-batch hot path once — ``encode_many`` over
+every graph in the batch, one ``decision_scores`` similarity pass against
+the shared read-only class-vector matrix — and distributes the per-request
 slices back to the waiting request threads.
 
 Inference work therefore serializes through one thread (which is where the
 NumPy kernels want to be anyway) while wall-clock cost is amortized across
-every request the batch coalesced; under concurrent load the observed batch
-sizes in :class:`ServerStats` exceed 1, and under idle load a lone request
-pays at most ``max_delay`` of queueing latency.
+every request the batch coalesced.
 
 The batcher snapshots the :class:`~repro.serve.model_manager.ModelHandle`
 once per batch, so a hot swap never splits a batch across model versions.
@@ -32,7 +32,21 @@ from repro.graphs.graph import Graph
 from repro.hdc.classifier import topk_from_scores
 from repro.serve.model_manager import ModelHandle
 
-__all__ = ["BatchResult", "MicroBatcher", "ServerStats", "ServiceClosedError"]
+__all__ = [
+    "MAX_BATCH_GRAPHS",
+    "REQUEST_TIMEOUT_SECONDS",
+    "BatchResult",
+    "MicroBatcher",
+    "ServerStats",
+    "ServiceClosedError",
+]
+
+#: Graph budget of one micro-batch.  Whole requests are admitted while they
+#: fit; a single request larger than the budget still runs as one batch.
+MAX_BATCH_GRAPHS = 64
+
+#: Seconds a request waits for its batch before it fails with a timeout.
+REQUEST_TIMEOUT_SECONDS = 30.0
 
 #: Ring-buffer length for latency percentiles; old samples age out so /stats
 #: reflects recent traffic, not the whole process lifetime.
@@ -177,31 +191,15 @@ class MicroBatcher:
         :class:`~repro.serve.model_manager.ModelHandle`; called exactly once
         per batch, so every request in a batch is answered by one model
         version.
-    max_batch_size:
-        Graph-count budget of one micro-batch.  Whole requests are admitted
-        until the next one would overflow the budget; a single request
-        larger than the budget still runs as one (oversized) batch.
-    max_delay:
-        Seconds the batch opener waits for co-travellers before executing.
-        The batching latency tax an idle-server request can pay is bounded
-        by this.
     """
 
     def __init__(
         self,
         model_provider: Callable[[], ModelHandle],
         *,
-        max_batch_size: int = 64,
-        max_delay: float = 0.002,
         stats: ServerStats | None = None,
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be non-negative, got {max_delay}")
         self._model_provider = model_provider
-        self.max_batch_size = int(max_batch_size)
-        self.max_delay = float(max_delay)
         self.stats = stats if stats is not None else ServerStats()
         self._queue: deque[_Pending] = deque()
         self._not_empty = threading.Condition()
@@ -216,16 +214,15 @@ class MicroBatcher:
         with self._not_empty:
             return len(self._queue)
 
-    def submit(
-        self, graphs: Sequence[Graph], top_k: int = 1, timeout: float = 30.0
-    ) -> BatchResult:
+    def submit(self, graphs: Sequence[Graph], top_k: int = 1) -> BatchResult:
         """Enqueue one request and block until its batch executed.
 
         Returns the :class:`BatchResult` carrying the model handle that
         served the batch, the per-graph ranked ``(label, score)`` lists, and
         the size of the coalesced batch.  Raises the batch's failure as-is,
-        ``TimeoutError`` if the batch did not finish in ``timeout`` seconds,
-        and :class:`ServiceClosedError` after :meth:`close`.
+        ``TimeoutError`` if the batch did not finish in
+        ``REQUEST_TIMEOUT_SECONDS``, and :class:`ServiceClosedError` after
+        :meth:`close`.
         """
         pending = _Pending(list(graphs), int(top_k))
         if not pending.graphs:
@@ -236,12 +233,13 @@ class MicroBatcher:
             self._queue.append(pending)
             self.stats.record_enqueue(len(self._queue))
             self._not_empty.notify()
-        if not pending.event.wait(timeout):
+        if not pending.event.wait(REQUEST_TIMEOUT_SECONDS):
             # Leave the pending entry for the batcher (it may still complete);
             # the client just stops waiting.
             self.stats.record_error()
             raise TimeoutError(
-                f"prediction batch did not complete within {timeout} seconds"
+                "prediction batch did not complete within "
+                f"{REQUEST_TIMEOUT_SECONDS} seconds"
             )
         if pending.error is not None:
             raise pending.error
@@ -262,29 +260,20 @@ class MicroBatcher:
 
     # ---------------------------------------------------------------- worker
     def _collect_batch(self) -> list[_Pending] | None:
-        """Block for the first request, then coalesce until full or expired."""
+        """Block for the oldest request, then take every queued one that fits."""
         with self._not_empty:
             while not self._queue and not self._closed:
                 self._not_empty.wait()
             if not self._queue:
                 return None  # closed and drained
-            first = self._queue.popleft()
-            batch = [first]
-            total = len(first.graphs)
-            deadline = time.perf_counter() + self.max_delay
-            while total < self.max_batch_size:
-                if not self._queue:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or self._closed:
-                        break
-                    self._not_empty.wait(remaining)
-                    continue
-                candidate = self._queue[0]
-                if total + len(candidate.graphs) > self.max_batch_size:
-                    break
-                self._queue.popleft()
-                batch.append(candidate)
-                total += len(candidate.graphs)
+            batch = [self._queue.popleft()]
+            total = len(batch[0].graphs)
+            while (
+                self._queue
+                and total + len(self._queue[0].graphs) <= MAX_BATCH_GRAPHS
+            ):
+                batch.append(self._queue.popleft())
+                total += len(batch[-1].graphs)
         return batch
 
     def _execute(self, batch: list[_Pending]) -> None:

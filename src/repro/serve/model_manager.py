@@ -84,6 +84,10 @@ class ModelManager:
 
     def __init__(self, path: str) -> None:
         self._swap_lock = threading.Lock()
+        #: Reloads may only name archives under this directory (the one
+        #: holding the startup archive): ``POST /reload`` takes its path from
+        #: the network, and loading an archive unpickles it.
+        self.directory = os.path.realpath(os.path.dirname(os.path.abspath(path)))
         self._handle = ModelHandle(
             model=_load_and_warm(path), version=1, path=os.fspath(path)
         )
@@ -102,12 +106,14 @@ class ModelManager:
         """Load a model and publish it as the new live handle.
 
         ``path`` defaults to the currently served archive (re-reading an
-        updated file in place).  When ``expected_version`` is given the swap
-        is compare-and-swap: it only publishes if the live version still
-        matches, otherwise :class:`StaleVersionError` — so two concurrent
-        operators cannot silently overwrite each other's swap.  The new
-        model is fully loaded and warmed *before* the pointer moves, and the
-        old handle stays valid for batches already holding it.
+        updated file in place); an explicit ``path`` whose real path lies
+        outside :attr:`directory` is refused with ``ValueError``.  When
+        ``expected_version`` is given the swap is compare-and-swap: it only
+        publishes if the live version still matches, otherwise
+        :class:`StaleVersionError` — so two concurrent operators cannot
+        silently overwrite each other's swap.  The new model is fully loaded
+        and warmed *before* the pointer moves, and the old handle stays
+        valid for batches already holding it.
         """
         with self._swap_lock:
             live = self._handle
@@ -116,7 +122,15 @@ class ModelManager:
                     f"live model is version {live.version}, reload expected "
                     f"{expected_version}; re-read /healthz and retry"
                 )
-            target = os.fspath(path) if path is not None else live.path
+            target = live.path
+            if path is not None:
+                target = os.fspath(path)
+                real = os.path.realpath(target)
+                if os.path.commonpath([self.directory, real]) != self.directory:
+                    raise ValueError(
+                        f"{target} lies outside the model directory "
+                        f"{self.directory}"
+                    )
             model = _load_and_warm(target)
             handle = ModelHandle(model=model, version=live.version + 1, path=target)
             self._handle = handle

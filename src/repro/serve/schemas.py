@@ -57,6 +57,13 @@ __all__ = [
 #: unbounded amount of encoding work.
 MAX_GRAPHS_PER_REQUEST = 1024
 
+#: Hard cap on ``num_vertices`` per graph.  Encoding a graph grows the served
+#: model's vertex basis to its vertex count for good, so an uncapped
+#: ~40-byte request could stall the batcher for seconds and pin hundreds of
+#: MB; at d = 10,000 the cap bounds one request's growth to ~100 MB dense
+#: (~12.5 MB packed).
+MAX_VERTICES_PER_GRAPH = 10_000
+
 #: Default number of ranked (label, score) pairs returned per graph.
 DEFAULT_TOP_K = 1
 
@@ -101,10 +108,11 @@ def _parse_json_object(body: bytes | str, what: str) -> dict:
 def graph_from_payload(payload, index: int = 0) -> Graph:
     """Build a :class:`Graph` from one JSON graph object.
 
-    Requires ``num_vertices`` (non-negative int) and accepts ``edges`` (a
-    list of ``[u, v]`` vertex-index pairs; duplicates collapse, order is
-    irrelevant) plus an optional ``vertex_labels`` list.  Out-of-range
-    endpoints raise :class:`SchemaError` naming the graph and the edge.
+    Requires ``num_vertices`` (an int in ``0..MAX_VERTICES_PER_GRAPH``) and
+    accepts ``edges`` (a list of ``[u, v]`` vertex-index pairs; duplicates
+    collapse, order is irrelevant) plus an optional ``vertex_labels`` list.
+    Out-of-range endpoints raise :class:`SchemaError` naming the graph and
+    the edge.
     """
     where = f"graphs[{index}]"
     if not isinstance(payload, dict):
@@ -123,6 +131,11 @@ def graph_from_payload(payload, index: int = 0) -> Graph:
     if num_vertices < 0:
         raise SchemaError(
             f"{where}.num_vertices must be non-negative, got {num_vertices}"
+        )
+    if num_vertices > MAX_VERTICES_PER_GRAPH:
+        raise SchemaError(
+            f"{where}.num_vertices = {num_vertices} exceeds the server's cap "
+            f"of {MAX_VERTICES_PER_GRAPH} vertices per graph"
         )
     edges = payload.get("edges", [])
     if not isinstance(edges, list):

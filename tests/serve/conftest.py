@@ -1,7 +1,7 @@
 """Shared fixtures for the serving test suite.
 
 Models are trained once per session on the shared MUTAG-style dataset and
-saved to disk; individual tests load/serve those archives.  Servers always
+saved to one directory; individual tests load/serve those archives.  Servers always
 bind port 0 (ephemeral) so the suite is parallel-safe.
 """
 
@@ -31,19 +31,23 @@ def _train_and_save(dataset, path, backend: str, seed: int = 0) -> str:
 
 
 @pytest.fixture(scope="session")
-def dense_model_path(serve_dataset, tmp_path_factory) -> str:
-    path = tmp_path_factory.mktemp("serve-models") / "dense.npz"
-    return _train_and_save(serve_dataset, path, "dense")
+def serve_model_dir(tmp_path_factory):
+    """One directory for every archive, so ``/reload`` may move between them."""
+    return tmp_path_factory.mktemp("serve-models")
 
 
 @pytest.fixture(scope="session")
-def packed_model_path(serve_dataset, tmp_path_factory) -> str:
-    path = tmp_path_factory.mktemp("serve-models") / "packed.npz"
-    return _train_and_save(serve_dataset, path, "packed")
+def dense_model_path(serve_dataset, serve_model_dir) -> str:
+    return _train_and_save(serve_dataset, serve_model_dir / "dense.npz", "dense")
 
 
 @pytest.fixture(scope="session")
-def retrained_model_path(serve_dataset, tmp_path_factory) -> str:
+def packed_model_path(serve_dataset, serve_model_dir) -> str:
+    return _train_and_save(serve_dataset, serve_model_dir / "packed.npz", "packed")
+
+
+@pytest.fixture(scope="session")
+def retrained_model_path(serve_dataset, serve_model_dir) -> str:
     """A second, distinguishable packed model (different basis seed)."""
-    path = tmp_path_factory.mktemp("serve-models") / "packed-v2.npz"
+    path = serve_model_dir / "packed-v2.npz"
     return _train_and_save(serve_dataset, path, "packed", seed=11)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.graph import Graph
+from repro.serve import batcher as batcher_module
 from repro.serve.batcher import (
     MicroBatcher,
     ServerStats,
@@ -79,7 +80,7 @@ def fake_setup():
 class TestMicroBatcher:
     def test_single_request_round_trip(self, fake_setup):
         model, handle, make = fake_setup
-        batcher = make(max_delay=0.0)
+        batcher = make()
         result = batcher.submit([graph_with(2), graph_with(3)], top_k=2)
         assert result.handle is handle
         assert result.batch_size == 2
@@ -96,7 +97,7 @@ class TestMicroBatcher:
 
     def test_concurrent_requests_coalesce_into_one_batch(self, fake_setup):
         model, _, make = fake_setup
-        batcher = make(max_batch_size=64, max_delay=0.05)
+        batcher = make()
         # Block the batcher inside the first batch so later submissions pile
         # up in the queue, then release and watch them coalesce.
         model.encoder.gate = threading.Event()
@@ -124,9 +125,12 @@ class TestMicroBatcher:
             expected = "even" if (slot + 1) % 2 == 0 else "odd"
             assert result.topk[0][0][0] == expected
 
-    def test_batch_respects_graph_budget_on_whole_requests(self, fake_setup):
+    def test_batch_respects_graph_budget_on_whole_requests(
+        self, fake_setup, monkeypatch
+    ):
         model, _, make = fake_setup
-        batcher = make(max_batch_size=4, max_delay=0.05)
+        monkeypatch.setattr(batcher_module, "MAX_BATCH_GRAPHS", 4)
+        batcher = make()
         model.encoder.gate = threading.Event()
         opener = threading.Thread(target=batcher.submit, args=([graph_with(1)],))
         opener.start()
@@ -153,9 +157,10 @@ class TestMicroBatcher:
             thread.join(5.0)
         assert model.encoder.batch_sizes == [1, 3, 2]
 
-    def test_oversized_request_runs_alone(self, fake_setup):
+    def test_oversized_request_runs_alone(self, fake_setup, monkeypatch):
         model, _, make = fake_setup
-        batcher = make(max_batch_size=2, max_delay=0.0)
+        monkeypatch.setattr(batcher_module, "MAX_BATCH_GRAPHS", 2)
+        batcher = make()
         result = batcher.submit([graph_with(1)] * 5)
         assert result.batch_size == 5
         assert model.encoder.batch_sizes == [5]
@@ -163,7 +168,7 @@ class TestMicroBatcher:
     def test_batch_failure_propagates_to_every_request(self, fake_setup):
         model, _, make = fake_setup
         stats = ServerStats()
-        batcher = make(max_delay=0.0, stats=stats)
+        batcher = make(stats=stats)
         model.encoder.fail_with = RuntimeError("encoder exploded")
         with pytest.raises(RuntimeError, match="encoder exploded"):
             batcher.submit([graph_with(1)])
@@ -172,13 +177,14 @@ class TestMicroBatcher:
         model.encoder.fail_with = None
         assert batcher.submit([graph_with(2)]).topk[0][0][0] == "even"
 
-    def test_submit_timeout(self, fake_setup):
+    def test_submit_timeout(self, fake_setup, monkeypatch):
         model, _, make = fake_setup
-        batcher = make(max_delay=0.0)
+        monkeypatch.setattr(batcher_module, "REQUEST_TIMEOUT_SECONDS", 0.05)
+        batcher = make()
         model.encoder.gate = threading.Event()
         try:
             with pytest.raises(TimeoutError, match="did not complete within"):
-                batcher.submit([graph_with(1)], timeout=0.05)
+                batcher.submit([graph_with(1)])
         finally:
             model.encoder.gate.set()
 
@@ -195,22 +201,10 @@ class TestMicroBatcher:
         batcher.close()
         batcher.close()
 
-    @pytest.mark.parametrize(
-        ("kwargs", "match"),
-        [
-            ({"max_batch_size": 0}, "max_batch_size"),
-            ({"max_delay": -0.1}, "max_delay"),
-        ],
-    )
-    def test_invalid_policy_rejected(self, fake_setup, kwargs, match):
-        _, handle, _ = fake_setup
-        with pytest.raises(ValueError, match=match):
-            MicroBatcher(lambda: handle, **kwargs)
-
     def test_stats_recorded(self, fake_setup):
         model, _, make = fake_setup
         stats = ServerStats()
-        batcher = make(max_delay=0.0, stats=stats)
+        batcher = make(stats=stats)
         batcher.submit([graph_with(1), graph_with(2)])
         batcher.submit([graph_with(3)])
         snapshot = stats.snapshot(queue_depth=0)
@@ -318,11 +312,11 @@ class TestModelManager:
         # A later in-place reload re-reads the *new* path.
         assert manager.reload().path == retrained_model_path
 
-    def test_failed_reload_keeps_old_model(self, dense_model_path, tmp_path):
+    def test_failed_reload_keeps_old_model(self, dense_model_path, serve_model_dir):
         manager = ModelManager(dense_model_path)
         live = manager.current()
         with pytest.raises(FileNotFoundError):
-            manager.reload(path=str(tmp_path / "missing.npz"))
+            manager.reload(path=str(serve_model_dir / "missing.npz"))
         assert manager.current() is live
 
     def test_missing_archive_refused_at_startup(self, tmp_path):

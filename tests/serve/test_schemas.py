@@ -9,6 +9,7 @@ from repro.graphs.graph import Graph
 from repro.serve.schemas import (
     DEFAULT_TOP_K,
     MAX_GRAPHS_PER_REQUEST,
+    MAX_VERTICES_PER_GRAPH,
     SchemaError,
     graph_from_payload,
     json_safe_label,
@@ -59,6 +60,15 @@ class TestGraphFromPayload:
     def test_negative_num_vertices_rejected(self):
         with pytest.raises(SchemaError, match="non-negative"):
             graph_from_payload({"num_vertices": -1})
+
+    def test_num_vertices_capped(self):
+        at_cap = graph_from_payload({"num_vertices": MAX_VERTICES_PER_GRAPH})
+        assert at_cap.num_vertices == MAX_VERTICES_PER_GRAPH
+        with pytest.raises(
+            SchemaError,
+            match=rf"graphs\[4\].num_vertices = {MAX_VERTICES_PER_GRAPH + 1} exceeds",
+        ):
+            graph_from_payload({"num_vertices": MAX_VERTICES_PER_GRAPH + 1}, index=4)
 
     @pytest.mark.parametrize(
         "bad_edge", [[0], [0, 1, 2], [0, "1"], [0, 1.0], [0, True], "01", None]

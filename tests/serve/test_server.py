@@ -6,19 +6,28 @@ the CI smoke and the load generator use.  The headline guarantees:
 
 * served predictions are bit-identical to offline ``predict_encoded`` on the
   same archive, for the dense and the packed backend, including under
-  concurrent clients whose requests coalesce into micro-batches;
+  concurrent clients whose requests may share micro-batches;
 * a version-checked hot swap is atomic — every response reports a model
   version whose answers are exactly that version's offline answers, never a
   mixture.
 """
 
 import json
+import os
+import shutil
+import socket
 import threading
 
 import pytest
 
 from repro.core.model import GraphHDClassifier
-from repro.serve.app import create_server, start_in_thread
+from repro.graphs.graph import Graph
+from repro.serve.app import (
+    InferenceService,
+    _RequestHandler,
+    create_server,
+    start_in_thread,
+)
 from repro.serve.client import ServingClient, ServingError, graph_payload
 
 
@@ -27,9 +36,8 @@ def serve(request):
     """Factory fixture: start a server for a model path, yield a client."""
     servers = []
 
-    def start(model_path, **kwargs):
-        kwargs.setdefault("max_delay", 0.005)
-        server = create_server(model_path, port=0, **kwargs)
+    def start(model_path):
+        server = create_server(model_path, port=0)
         start_in_thread(server)
         servers.append(server)
         host, port = server.server_address[:2]
@@ -64,12 +72,11 @@ class TestServedEqualsOffline:
         self, backend, serve, serve_dataset, dense_model_path, packed_model_path
     ):
         model_path = dense_model_path if backend == "dense" else packed_model_path
-        client = serve(model_path, max_delay=0.05, max_batch_size=64)
+        client = serve(model_path)
         graphs = serve_dataset.graphs[:24]
         expected = offline_predictions(model_path, graphs)
 
         results = [None] * len(graphs)
-        batch_sizes = [0] * len(graphs)
         barrier = threading.Barrier(len(graphs))
 
         def worker(index):
@@ -78,7 +85,6 @@ class TestServedEqualsOffline:
             with ServingClient(host, port) as own:
                 response = own.predict([graphs[index]])
             results[index] = response["predictions"][0]["label"]
-            batch_sizes[index] = response["batch_size"]
 
         threads = [
             threading.Thread(target=worker, args=(index,))
@@ -90,10 +96,8 @@ class TestServedEqualsOffline:
             thread.join(30.0)
 
         # Bit-identical to the offline answers regardless of how the
-        # concurrent singleton requests were packed into micro-batches...
+        # concurrent singleton requests were packed into micro-batches.
         assert results == expected
-        # ...and the burst actually exercised coalescing.
-        assert max(batch_sizes) > 1
 
     def test_topk_matches_offline_predict_topk(
         self, serve, serve_dataset, packed_model_path
@@ -141,8 +145,13 @@ class TestEndpoints:
         assert stats["request_latency"]["p50_ms"] > 0
         assert stats["request_latency"]["p99_ms"] >= stats["request_latency"]["p50_ms"]
         assert stats["batch_sizes"]["histogram"] == {"5": 1}
-        assert stats["policy"]["max_batch_size"] == 64
         assert stats["model"]["version"] == 1
+        assert {
+            "batch_latency",
+            "max_queue_depth",
+            "encode_seconds_total",
+            "similarity_seconds_total",
+        } <= stats.keys()
 
     def test_malformed_graph_rejected_400(self, serve, dense_model_path):
         client = serve(dense_model_path)
@@ -170,6 +179,23 @@ class TestEndpoints:
             client._request("GET", "/predict")
         assert excinfo.value.status == 405
         assert excinfo.value.payload["allowed"] == ["POST"]
+
+    def test_accepted_connections_disable_nagle(
+        self, serve, dense_model_path, monkeypatch
+    ):
+        nodelay = []
+        setup = _RequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_RequestHandler, "setup", recording_setup)
+        client = serve(dense_model_path)
+        client.healthz()
+        assert len(nodelay) == 1 and nodelay[0] != 0
 
     def test_graph_payload_round_trip(self, serve_dataset):
         graph = serve_dataset.graphs[0]
@@ -207,11 +233,31 @@ class TestHotSwap:
         assert excinfo.value.status == 409
         assert client.healthz()["model"]["version"] == 2
 
-    def test_reload_missing_file_rejected_400(self, serve, dense_model_path, tmp_path):
+    def test_reload_missing_file_rejected_400(
+        self, serve, dense_model_path, serve_model_dir
+    ):
         client = serve(dense_model_path)
         with pytest.raises(ServingError) as excinfo:
-            client.reload(path=str(tmp_path / "missing.npz"))
+            client.reload(path=str(serve_model_dir / "missing.npz"))
         assert excinfo.value.status == 400
+        assert "No such file" in str(excinfo.value)
+        assert client.healthz()["model"]["version"] == 1
+
+    @pytest.mark.parametrize("through_parent", [False, True])
+    def test_reload_outside_model_directory_rejected_400(
+        self, serve, dense_model_path, serve_model_dir, tmp_path, through_parent
+    ):
+        outside = tmp_path / "outside.npz"
+        shutil.copy(dense_model_path, outside)  # a valid archive, elsewhere
+        path = str(outside)
+        if through_parent:  # names the model directory, then climbs out
+            path = os.path.join(serve_model_dir, os.path.relpath(outside, serve_model_dir))
+            assert path.startswith(str(serve_model_dir)) and ".." in path
+        client = serve(dense_model_path)
+        with pytest.raises(ServingError) as excinfo:
+            client.reload(path=path)
+        assert excinfo.value.status == 400
+        assert "outside the model directory" in str(excinfo.value)
         assert client.healthz()["model"]["version"] == 1
 
     def test_no_request_sees_a_half_swapped_model(
@@ -224,7 +270,7 @@ class TestHotSwap:
         answers of the model version the response reports — a mixture would
         mean a batch straddled the swap.
         """
-        client = serve(dense_model_path, max_delay=0.01)
+        client = serve(dense_model_path)
         graphs = serve_dataset.graphs[:6]
         truth = {
             1: offline_predictions(dense_model_path, graphs),
@@ -260,6 +306,37 @@ class TestHotSwap:
         assert client.healthz()["model"]["version"] == 7  # 1 + 6 swaps
 
 
+class TestVertexCap:
+    @pytest.fixture
+    def service(self, dense_model_path):
+        service = InferenceService(dense_model_path)
+        yield service
+        service.close()
+
+    @staticmethod
+    def body(graph_payloads) -> bytes:
+        return json.dumps({"graphs": graph_payloads}).encode("utf-8")
+
+    def test_oversized_graph_rejected_400_without_growing_basis(self, service):
+        encoder = service.manager.current().model.encoder
+        basis_before = len(encoder._basis)
+        status, payload = service.predict(
+            self.body([{"num_vertices": 3}, {"num_vertices": 200_000}])
+        )
+        assert status == 400
+        assert "graphs[1].num_vertices" in payload["error"]
+        assert len(encoder._basis) == basis_before
+        assert service.stats_recorder.graphs_total == 0
+
+    def test_980_vertex_graph_still_served(self, service, dense_model_path):
+        ring = Graph(980, [(vertex, (vertex + 1) % 980) for vertex in range(980)])
+        status, payload = service.predict(self.body([graph_payload(ring)]))
+        assert status == 200
+        assert [p["label"] for p in payload["predictions"]] == offline_predictions(
+            dense_model_path, [ring]
+        )
+
+
 class TestCLI:
     def test_serve_parser_wires_flags(self):
         from repro.cli import build_parser
@@ -269,16 +346,25 @@ class TestCLI:
                 "serve",
                 "--model",
                 "model.npz",
+                "--host",
+                "0.0.0.0",
                 "--port",
                 "0",
-                "--max-batch-size",
-                "32",
-                "--max-delay-ms",
-                "1.5",
+                "--verbose",
             ]
         )
         assert args.command == "serve"
         assert args.model == "model.npz"
+        assert args.host == "0.0.0.0"
         assert args.port == 0
-        assert args.max_batch_size == 32
-        assert args.max_delay_ms == 1.5
+        assert args.verbose is True
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-batch-size=32", "--max-delay-ms=1.5", "--request-timeout=5"]
+    )
+    def test_removed_batching_flags_fail(self, flag):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--model", "model.npz", flag])
+        assert excinfo.value.code == 2
